@@ -34,6 +34,8 @@
 //!   citations ([`fork`]).
 //! * [`retro`] — retroactive citations for legacy repositories
 //!   (future work #2).
+//! * [`cite_at`] / [`function_at`] — a committed version's citations read
+//!   straight from its tree, with no worktree ([`version`]).
 //!
 //! ```
 //! use citekit::{Citation, CitedRepo};
@@ -68,6 +70,7 @@ pub mod ops;
 pub mod retro;
 pub mod time;
 pub mod validate;
+pub mod version;
 
 pub use carry::CarryReport;
 pub use citation::{Citation, CitationBuilder};
@@ -86,3 +89,4 @@ pub use ops::{CitedRepo, CommitOutcome, PrunePolicy};
 pub use retro::{retrofit, retrofit_history, RetrofitOptions, RetrofitReport};
 pub use time::{format_iso8601, parse_iso8601};
 pub use validate::{validate, Violation};
+pub use version::{cite_at, function_at};

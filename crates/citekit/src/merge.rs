@@ -509,18 +509,10 @@ impl CitedRepo {
             .map_err(CiteError::Git)
     }
 
-    /// Reads the citation function stored in a committed version.
+    /// Reads the citation function stored in a committed version (see
+    /// [`crate::version::function_at`]).
     pub fn function_at(&self, version: ObjectId) -> Result<CitationFunction> {
-        let text = self
-            .repo()
-            .file_at(version, &citation_path())
-            .map_err(|_| {
-                CiteError::BadCitationFile(format!(
-                    "version {} has no citation.cite",
-                    version.short()
-                ))
-            })?;
-        file::parse(&String::from_utf8_lossy(&text))
+        crate::version::function_at(self.repo(), version)
     }
 }
 

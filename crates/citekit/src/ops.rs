@@ -270,26 +270,10 @@ impl CitedRepo {
             .collect())
     }
 
-    /// `Cite(V,P)(n)` for a committed version `V`.
+    /// `Cite(V,P)(n)` for a committed version `V` (see
+    /// [`crate::version::cite_at`]).
     pub fn cite_at(&self, version: ObjectId, path: &RepoPath) -> Result<Citation> {
-        let commit = self.repo.commit_obj(version).map_err(CiteError::Git)?;
-        if !self
-            .repo
-            .path_exists_at(version, path)
-            .map_err(CiteError::Git)?
-        {
-            return Err(CiteError::PathMissing(path.clone()));
-        }
-        let text = self.repo.file_at(version, &citation_path()).map_err(|_| {
-            CiteError::BadCitationFile(format!("version {} has no citation.cite", version.short()))
-        })?;
-        let func = file::parse(&String::from_utf8_lossy(&text))?;
-        let (at, citation) = func.resolve(path);
-        if at.is_root() {
-            Ok(citation.stamped(&version.short(), &format_iso8601(commit.author.timestamp)))
-        } else {
-            Ok(citation.clone())
-        }
+        crate::version::cite_at(&self.repo, version, path)
     }
 
     fn maybe_stamp(&self, at: &RepoPath, citation: &Citation) -> Citation {

@@ -44,6 +44,8 @@ pub enum GitError {
     NoMergeBase,
     /// Repository has no commits yet where one was required.
     EmptyRepository,
+    /// A worktree operation (such as `commit`) on a bare repository.
+    BareRepository,
     /// On-disk store problems (message keeps the io::Error text; io::Error
     /// itself is not `Clone`/`PartialEq`).
     Io(String),
@@ -79,6 +81,7 @@ impl fmt::Display for GitError {
             GitError::MergeConflicts(n) => write!(f, "merge produced {n} conflict(s)"),
             GitError::NoMergeBase => write!(f, "histories share no common ancestor"),
             GitError::EmptyRepository => write!(f, "repository has no commits"),
+            GitError::BareRepository => write!(f, "repository is bare: it has no worktree"),
             GitError::Io(msg) => write!(f, "io error: {msg}"),
             GitError::Corrupt(msg) => write!(f, "corrupt object store: {msg}"),
         }

@@ -97,6 +97,10 @@ pub fn fetch(dst: &mut Repository, src: &Repository, branch: &str) -> Result<Obj
 /// Follows Git's rules: creating a new branch is always allowed; updating
 /// an existing branch requires a fast-forward unless `force` is set.
 /// Returns the new tip of the destination branch.
+///
+/// A non-bare destination that has `dst_branch` checked out reloads its
+/// worktree from the new tip. A bare destination, such as a hosted
+/// repository, reads no tree: it serves every version from its objects.
 pub fn push(
     src: &Repository,
     dst: &mut Repository,
@@ -115,8 +119,8 @@ pub fn push(
         }
     }
     dst.set_branch(dst_branch, new_tip)?;
-    // Keep the destination's checkout in sync when it is on that branch
-    // (hosted repositories always serve from their branch tips).
+    // Keep the destination's checkout in sync when it is on that branch;
+    // on a bare destination this only re-points HEAD.
     if dst.current_branch() == Some(dst_branch) {
         dst.checkout_branch(dst_branch)?;
     }

@@ -6,13 +6,17 @@
 //! whose interior nodes are directories and leaves are files" (§2). Commits
 //! are the versions, branches name DAG heads, and the worktree is the
 //! mutable copy from which new versions are created.
+//!
+//! A **bare** repository ([`Repository::into_bare`]) keeps refs, HEAD and
+//! objects but no worktree, as a Git server's repositories do: checkouts
+//! only move HEAD, and edits go through a [`Repository::working_copy`].
 
 use crate::error::{GitError, Result};
 use crate::hash::ObjectId;
 use crate::object::{Commit, Object, Signature};
 use crate::path::RepoPath;
 use crate::snapshot::{flatten_tree, read_tree, resolve_path, write_tree};
-use crate::store::{MemStore, ObjectStore};
+use crate::store::{MemStore, ObjectStore, Overlay};
 use crate::worktree::WorkTree;
 use bytes::Bytes;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
@@ -45,6 +49,7 @@ pub struct Repository {
     refs: BTreeMap<String, ObjectId>,
     head: Head,
     worktree: WorkTree,
+    bare: bool,
     clock: i64,
 }
 
@@ -66,8 +71,41 @@ impl Repository {
             refs: BTreeMap::new(),
             head: Head::Unborn(DEFAULT_BRANCH.to_owned()),
             worktree: WorkTree::new(),
+            bare: false,
             clock: 0,
         }
+    }
+
+    /// Drops the worktree and makes the repository bare: refs, HEAD and
+    /// objects only. Checkouts then move HEAD without reading any tree,
+    /// and [`Repository::commit`] fails with [`GitError::BareRepository`].
+    pub fn into_bare(mut self) -> Self {
+        self.worktree = WorkTree::new();
+        self.bare = true;
+        self
+    }
+
+    /// True for a repository made by [`Repository::into_bare`].
+    pub fn is_bare(&self) -> bool {
+        self.bare
+    }
+
+    /// A non-bare copy with `branch` checked out, for edits on behalf of
+    /// a (usually bare) repository. The copy reads this repository's
+    /// objects but keeps its own writes in memory; [`crate::push`] brings
+    /// its new commits back.
+    pub fn working_copy(&self, branch: &str) -> Result<Repository> {
+        let mut work = Repository {
+            name: self.name.clone(),
+            odb: Box::new(Overlay::new(self.odb.clone())),
+            refs: self.refs.clone(),
+            head: self.head.clone(),
+            worktree: WorkTree::new(),
+            bare: false,
+            clock: self.clock,
+        };
+        work.checkout_branch(branch)?;
+        Ok(work)
     }
 
     /// The repository's name (used as the project name in citations).
@@ -90,7 +128,7 @@ impl Repository {
         &mut *self.odb
     }
 
-    /// The working tree.
+    /// The working tree (always empty on a bare repository).
     pub fn worktree(&self) -> &WorkTree {
         &self.worktree
     }
@@ -207,7 +245,7 @@ impl Repository {
     ///
     /// Returns [`GitError::NothingToCommit`] when the snapshot is identical
     /// to HEAD's tree (pass `allow_empty=true` via [`Repository::commit_with`]
-    /// to override).
+    /// to override), and [`GitError::BareRepository`] on a bare repository.
     pub fn commit(&mut self, author: Signature, message: impl Into<String>) -> Result<ObjectId> {
         self.commit_with(author, message, false)
     }
@@ -219,6 +257,9 @@ impl Repository {
         message: impl Into<String>,
         allow_empty: bool,
     ) -> Result<ObjectId> {
+        if self.bare {
+            return Err(GitError::BareRepository);
+        }
         let tree = write_tree(&mut *self.odb, &self.worktree);
         let parents = match self.head_commit() {
             Ok(head) => {
@@ -235,7 +276,7 @@ impl Repository {
     }
 
     /// Creates a merge commit with two parents from an already-built tree.
-    /// The worktree is replaced with the merged tree's contents.
+    /// The worktree (if any) is replaced with the merged tree's contents.
     pub fn commit_merge(
         &mut self,
         tree: ObjectId,
@@ -243,7 +284,9 @@ impl Repository {
         author: Signature,
         message: impl Into<String>,
     ) -> Result<ObjectId> {
-        self.worktree = read_tree(&*self.odb, tree)?;
+        if !self.bare {
+            self.worktree = read_tree(&*self.odb, tree)?;
+        }
         self.finish_commit(tree, parents, author, message.into())
     }
 
@@ -281,19 +324,24 @@ impl Repository {
 
     // ----- checkout -----------------------------------------------------
 
-    /// Switches HEAD to a branch and loads its tree into the worktree.
+    /// Switches HEAD to a branch and loads its tree into the worktree. On
+    /// a bare repository only HEAD moves.
     pub fn checkout_branch(&mut self, name: &str) -> Result<()> {
         let tip = self.branch_tip(name)?;
-        let tree = self.tree_of(tip)?;
-        self.worktree = read_tree(&*self.odb, tree)?;
+        if !self.bare {
+            self.worktree = read_tree(&*self.odb, self.tree_of(tip)?)?;
+        }
         self.head = Head::Branch(name.to_owned());
         Ok(())
     }
 
-    /// Detaches HEAD at a commit and loads its tree into the worktree.
+    /// Detaches HEAD at a commit and loads its tree into the worktree. On
+    /// a bare repository only HEAD moves.
     pub fn checkout_commit(&mut self, id: ObjectId) -> Result<()> {
         let tree = self.tree_of(id)?;
-        self.worktree = read_tree(&*self.odb, tree)?;
+        if !self.bare {
+            self.worktree = read_tree(&*self.odb, tree)?;
+        }
         self.head = Head::Detached(id);
         Ok(())
     }
@@ -639,6 +687,51 @@ mod tests {
         assert!(r.is_ancestor(c1, c2).unwrap());
         assert!(!r.is_ancestor(c2, c1).unwrap());
         assert!(r.is_ancestor(c2, c2).unwrap());
+    }
+
+    #[test]
+    fn bare_repository_moves_head_only_and_refuses_commits() {
+        let (r, c1) = repo_with_commit();
+        let mut bare = r.into_bare();
+        assert!(bare.is_bare());
+        assert!(bare.worktree().is_empty());
+        bare.create_branch("dev").unwrap();
+        bare.checkout_branch("dev").unwrap();
+        assert_eq!(bare.current_branch(), Some("dev"));
+        assert!(bare.worktree().is_empty(), "checkout read no tree");
+        bare.worktree_mut()
+            .write(&path("x.txt"), &b"x"[..])
+            .unwrap();
+        for allow_empty in [false, true] {
+            assert_eq!(
+                bare.commit_with(sig("alice", 2), "c2", allow_empty)
+                    .unwrap_err(),
+                GitError::BareRepository
+            );
+        }
+        assert_eq!(bare.branch_tip("dev").unwrap(), c1, "no commit landed");
+        assert_eq!(bare.log(c1).unwrap(), vec![c1]);
+    }
+
+    #[test]
+    fn working_copy_edits_come_back_through_push() {
+        let (r, c1) = repo_with_commit();
+        let mut bare = r.into_bare();
+        bare.create_branch("dev").unwrap();
+        let mut work = bare.working_copy("dev").unwrap();
+        assert!(!work.is_bare());
+        assert_eq!(work.current_branch(), Some("dev"));
+        assert_eq!(work.worktree().read_text(&path("a.txt")).unwrap(), "one");
+        work.worktree_mut()
+            .write(&path("b.txt"), &b"two"[..])
+            .unwrap();
+        let c2 = work.commit(sig("bob", 2), "c2").unwrap();
+        assert_eq!(bare.branch_tip("dev").unwrap(), c1, "the copy is separate");
+        crate::push(&work, &mut bare, "dev", "dev", false).unwrap();
+        assert_eq!(bare.branch_tip("dev").unwrap(), c2);
+        assert_eq!(bare.current_branch(), Some("main"), "HEAD stays put");
+        assert!(bare.is_bare() && bare.worktree().is_empty());
+        assert_eq!(bare.file_at(c2, &path("b.txt")).unwrap().as_ref(), b"two");
     }
 
     #[test]

@@ -411,6 +411,68 @@ impl ObjectStore for MemStore {
 }
 
 // ---------------------------------------------------------------------
+// Overlay
+// ---------------------------------------------------------------------
+
+/// A throwaway layer over another store: reads fall through to `base`,
+/// writes stay in memory. A [`crate::Repository::working_copy`] sits on
+/// one, so its new objects reach the original store only when they are
+/// pushed back (through that store's own write path, which keeps its
+/// index exact), and an abandoned copy leaves nothing behind.
+#[derive(Debug, Clone)]
+pub(crate) struct Overlay {
+    base: Box<dyn ObjectStore>,
+    added: MemStore,
+}
+
+impl Overlay {
+    pub(crate) fn new(base: Box<dyn ObjectStore>) -> Overlay {
+        Overlay {
+            base,
+            added: MemStore::new(),
+        }
+    }
+}
+
+impl ObjectStore for Overlay {
+    fn get(&self, id: ObjectId) -> Result<Arc<Object>> {
+        self.added.get(id).or_else(|_| self.base.get(id))
+    }
+
+    fn put_with_id(&mut self, id: ObjectId, object: Arc<Object>) {
+        if !self.base.contains(id) {
+            self.added.put_with_id(id, object);
+        }
+    }
+
+    fn contains(&self, id: ObjectId) -> bool {
+        self.added.contains(id) || self.base.contains(id)
+    }
+
+    fn len(&self) -> usize {
+        self.base.len() + self.added.len()
+    }
+
+    fn ids(&self) -> Vec<ObjectId> {
+        let mut ids = self.base.ids();
+        ids.extend(self.added.ids());
+        ids
+    }
+
+    fn clone_box(&self) -> Box<dyn ObjectStore> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn commit_graph(&self) -> Option<Arc<crate::graph::CommitGraph>> {
+        self.base.commit_graph()
+    }
+}
+
+// ---------------------------------------------------------------------
 // DiskStore
 // ---------------------------------------------------------------------
 

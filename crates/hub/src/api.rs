@@ -788,10 +788,20 @@ impl RepoBundle {
     /// receiver, so this fails with `ObjectNotFound` instead of building
     /// a repository with holes in its history.
     pub fn into_repository(&self, store: Box<dyn ObjectStore>) -> gitlite::Result<Repository> {
+        self.materialize(Repository::init_with(self.name.clone(), store))
+    }
+
+    /// [`RepoBundle::into_repository`] as a bare repository: the same
+    /// checks, with HEAD set and no tree read into a worktree (how a hub
+    /// hosts what it is sent).
+    pub fn into_bare_repository(&self, store: Box<dyn ObjectStore>) -> gitlite::Result<Repository> {
+        self.materialize(Repository::init_with(self.name.clone(), store).into_bare())
+    }
+
+    fn materialize(&self, mut repo: Repository) -> gitlite::Result<Repository> {
         if let Some(&b) = self.basis.first() {
             return Err(gitlite::GitError::ObjectNotFound(b));
         }
-        let mut repo = Repository::init_with(self.name.clone(), store);
         for (id, bytes) in &self.objects {
             repo.odb_mut().put_raw(*id, bytes)?;
         }

@@ -15,6 +15,18 @@
 //! `audit_log_page` / `list_repos_page` reads — are served side by side
 //! with the v1 surface; see [`crate::api`] for the versioning rules.
 //!
+//! # Hosted repositories
+//!
+//! Every hosted repository is **bare** ([`Repository::into_bare`]), as a
+//! Git server's are: refs, HEAD and objects, with no worktree. It is made
+//! bare where it is created (create, import, fork, follower bootstrap),
+//! so pushes and replica applies move refs without reading any tree.
+//! Citations are read at branch tips with [`citekit::cite_at`] and
+//! [`citekit::function_at`], under the repository's read lock and with no
+//! copy of the repository. The only writers that edit files (cite ops and
+//! merges) work on a [`Repository::working_copy`] of their branch and
+//! push its new objects and the moved ref back, so HEAD never moves.
+//!
 //! # Locking
 //!
 //! State is sharded so the read-heavy citation workload scales:
@@ -615,8 +627,7 @@ impl Hub {
                 let citation = {
                     let hosted = cell.read();
                     let tip = hosted.repo.branch_tip(&branch).map_err(HubError::Git)?;
-                    let cited = CitedRepo::open(hosted.repo.clone()).map_err(HubError::Cite)?;
-                    cited.cite_at(tip, &path).map_err(HubError::Cite)?
+                    citekit::cite_at(&hosted.repo, tip, &path).map_err(HubError::Cite)?
                 };
                 let ts = self.tick();
                 self.record(ts, None, "generate_citation", &repo_id, true);
@@ -713,9 +724,12 @@ impl Hub {
             ),
             Q::Archive { repo_id } => {
                 let cell = self.repo(&repo_id)?;
-                let repo = cell.read().repo.clone();
                 let origin = format!("{}/{}", self.base_url, repo_id);
-                let report = self.heritage.lock().archive(&origin, &repo)?;
+                let report = {
+                    // Lock order: the repository before the leaf mutex.
+                    let hosted = cell.read();
+                    self.heritage.lock().archive(&origin, &hosted.repo)?
+                };
                 let ts = self.tick();
                 self.record(ts, None, "archive", &repo_id, true);
                 R::Archive(report)
@@ -730,10 +744,10 @@ impl Hub {
             }
             Q::CreditedAuthors { repo_id, branch } => {
                 let cell = self.repo(&repo_id)?;
-                let mut work = cell.read().repo.clone();
-                work.checkout_branch(&branch).map_err(HubError::Git)?;
-                let cited = CitedRepo::open(work).map_err(HubError::Cite)?;
-                R::Credits(cited.credited_authors())
+                let hosted = cell.read();
+                let tip = hosted.repo.branch_tip(&branch).map_err(HubError::Git)?;
+                let func = citekit::function_at(&hosted.repo, tip).map_err(HubError::Cite)?;
+                R::Credits(func.credited_authors())
             }
             Q::FindReposCiting { author } => R::Credits(self.op_find_repos_citing(&author)),
             Q::AuditLog => R::Audit(self.audit.lock().events().to_vec()),
@@ -1607,7 +1621,7 @@ impl Hub {
                     )));
                 }
                 let repo = bundle
-                    .into_repository((self.store_factory)())
+                    .into_bare_repository((self.store_factory)())
                     .map_err(HubError::Git)?;
                 self.repos.write().insert(
                     repo_id.to_owned(),
@@ -2038,7 +2052,7 @@ impl Hub {
         self.insert_repo(
             repo_id.clone(),
             HostedRepo {
-                repo: cited.into_repository(),
+                repo: cited.into_repository().into_bare(),
                 roles,
             },
         )?;
@@ -2062,7 +2076,7 @@ impl Hub {
         // Quota check before any object is materialized or any lock held.
         let size = self.check_bundle_quota(&user.username, &repo_id, false, bundle)?;
         let rehomed = bundle
-            .into_repository((self.store_factory)())
+            .into_bare_repository((self.store_factory)())
             .map_err(HubError::Git)?;
         rehomed.head_commit().map_err(HubError::Git)?; // must have content
         let mut roles = BTreeMap::new();
@@ -2287,26 +2301,27 @@ impl Hub {
             self.record(ts, Some(&user.username), op_name, repo_id, false);
             return Err(e);
         }
-        // Operate on a clone; replace on success so failures can't corrupt
-        // the hosted state.
-        let mut work = hosted.repo.clone();
-        let result = work
-            .checkout_branch(branch)
+        // Edit a working copy of the branch; on success push its new
+        // objects and the moved ref back, so a failure can't corrupt the
+        // hosted state and HEAD never moves.
+        let result = hosted
+            .repo
+            .working_copy(branch)
             .map_err(citekit::CiteError::Git)
-            .and_then(|()| {
+            .and_then(|work| {
                 let mut cited = CitedRepo::open(work)?;
                 op(&mut cited, path)?;
-                let outcome = cited.commit(
+                cited.commit(
                     Signature::new(&user.display_name, &user.email, ts),
                     format!("{op_name} {}", path.to_cite_key(false)),
                 )?;
-                Ok((cited, outcome))
+                gitlite::push(cited.repo(), &mut hosted.repo, branch, branch, false)
+                    .map_err(citekit::CiteError::Git)
             });
         match result {
-            Ok((cited, outcome)) => {
-                hosted.repo = cited.into_repository();
+            Ok(commit) => {
                 self.record(ts, Some(&user.username), op_name, repo_id, true);
-                Ok(outcome.commit)
+                Ok(commit)
             }
             Err(e) => {
                 self.record(ts, Some(&user.username), op_name, repo_id, false);
@@ -2341,7 +2356,7 @@ impl Hub {
             true => None,
             false => Some(
                 bundle
-                    .into_repository(Box::new(gitlite::MemStore::new()))
+                    .into_bare_repository(Box::new(gitlite::MemStore::new()))
                     .map_err(HubError::Git)?,
             ),
         };
@@ -2368,15 +2383,17 @@ impl Hub {
         if self.repos.read().contains_key(&new_repo_id) {
             return Err(HubError::RepoExists(new_repo_id));
         }
-        let src_repo = self.repo(src_repo_id)?.read().repo.clone();
+        let src = self.repo(src_repo_id)?;
         let ts = self.tick();
         let opts = ForkOptions::new(
             new_name,
             &user.display_name,
             format!("{}/{}", self.base_url, new_repo_id),
         );
+        // The fork is built from the source's objects under its read
+        // lock: no copy of the source repository is made.
         let outcome = citekit::fork_cite_into(
-            &src_repo,
+            &src.read().repo,
             &opts,
             Signature::new(&user.display_name, &user.email, ts),
             (self.store_factory)(),
@@ -2387,7 +2404,7 @@ impl Hub {
         self.insert_repo(
             new_repo_id.clone(),
             HostedRepo {
-                repo: outcome.fork.into_repository(),
+                repo: outcome.fork.into_repository().into_bare(),
                 roles,
             },
         )?;
@@ -2408,8 +2425,7 @@ impl Hub {
         let mut hosted = cell.write();
         let ts = self.tick();
         check(&hosted, &user.username, Action::Write)?;
-        let mut work = hosted.repo.clone();
-        work.checkout_branch(branch).map_err(HubError::Git)?;
+        let work = hosted.repo.working_copy(branch).map_err(HubError::Git)?;
         let mut cited = CitedRepo::open(work).map_err(HubError::Cite)?;
         let mut resolver = citekit::FnResolver(
             |_: &RepoPath, o: Option<&Citation>, _: Option<&Citation>, _: Option<&Citation>| {
@@ -2440,7 +2456,9 @@ impl Hub {
                 ));
             }
         };
-        hosted.repo = cited.into_repository();
+        // Only the new objects and the moved ref come back; HEAD stays.
+        gitlite::push(cited.repo(), &mut hosted.repo, branch, branch, false)
+            .map_err(HubError::Git)?;
         self.record(ts, Some(&user.username), "merge", repo_id, true);
         Ok(MergeSummary {
             outcome,
@@ -2462,10 +2480,9 @@ impl Hub {
             check(&hosted, &user.username, Action::Write)?;
             let tip = hosted.repo.branch_tip(branch).map_err(HubError::Git)?;
             let tree = hosted.repo.tree_of(tip).map_err(HubError::Git)?;
-            // Creators come from the root citation's author list.
-            let cited = CitedRepo::open(hosted.repo.clone()).map_err(HubError::Cite)?;
-            let creators = cited.function().root().author_list.clone();
-            (tip, tree, creators)
+            // Creators come from the deposited tip's root citation.
+            let func = citekit::function_at(&hosted.repo, tip).map_err(HubError::Cite)?;
+            (tip, tree, func.root().author_list.clone())
         };
         let deposit = self
             .zenodo
@@ -2485,12 +2502,16 @@ impl Hub {
             .collect();
         let mut out = Vec::new();
         for (repo_id, cell) in cells {
-            let repo = cell.read().repo.clone();
-            let Ok(cited) = CitedRepo::open(repo) else {
+            let hosted = cell.read();
+            let Some(func) = hosted
+                .repo
+                .head_commit()
+                .ok()
+                .and_then(|tip| citekit::function_at(&hosted.repo, tip).ok())
+            else {
                 continue;
             };
-            let paths: Vec<RepoPath> = cited
-                .function()
+            let paths: Vec<RepoPath> = func
                 .iter()
                 .filter(|(_, e)| e.citation.author_list.iter().any(|a| a == author))
                 .map(|(p, _)| p.clone())
@@ -2804,8 +2825,8 @@ fn apply_delta_push(
 /// corrupt, truncated or garbled bundle fails the whole application
 /// without leaving partial state. Unlike a push there is no
 /// fast-forward rule: the primary's frontier is authoritative, so refs
-/// are force-set, branches deleted upstream are deleted here, and the
-/// working tree tracks the primary's head.
+/// are force-set, branches deleted upstream are deleted here, and HEAD
+/// tracks the primary's head.
 fn apply_replica_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::Result<()> {
     for &b in &bundle.basis {
         if !repo.odb().contains(b) {
@@ -2849,7 +2870,7 @@ fn apply_replica_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::
         repo.set_branch(branch, *tip)?;
     }
     // Track the primary's head (or any surviving ref) *before* pruning,
-    // so the branch being deleted is never the checked-out one.
+    // so the branch being deleted is never HEAD's.
     let head = bundle
         .head
         .clone()
@@ -3319,5 +3340,302 @@ mod tests {
             panic!("expected an error response");
         };
         assert_eq!(err.code, crate::api::ErrorCode::Protocol);
+    }
+
+    /// One expectation of [`hosted_repositories_stay_bare`]: after a
+    /// step, `repo_id` on `hub` is bare and `path` at `branch`'s tip
+    /// cites `want` (a citation's repository name).
+    struct BareCheck<'a> {
+        hub: &'a Hub,
+        repo_id: String,
+        branch: &'static str,
+        path: &'static str,
+        want: &'static str,
+    }
+
+    fn repo_path(p: &str) -> RepoPath {
+        if p.is_empty() {
+            RepoPath::root()
+        } else {
+            path(p)
+        }
+    }
+
+    /// A clone of `repo_id` with one more commit on `branch` (created at
+    /// HEAD when new) that writes `file`.
+    fn clone_with_commit(hub: &Hub, repo_id: &str, branch: &str, file: &str) -> Repository {
+        let mut local = hub.clone_repo(repo_id).unwrap();
+        if !local.has_branch(branch) {
+            local.create_branch(branch).unwrap();
+        }
+        local.checkout_branch(branch).unwrap();
+        local
+            .worktree_mut()
+            .write(&path(file), file.as_bytes().to_vec())
+            .unwrap();
+        local
+            .commit(Signature::new("Leshang Chen", "l@x", 90), file)
+            .unwrap();
+        local
+    }
+
+    #[test]
+    fn hosted_repositories_stay_bare() {
+        let hub = Hub::new("https://hub.example");
+        hub.register_user("leshang", "Leshang Chen").unwrap();
+        let token = hub.login("leshang").unwrap();
+        let p1 = || "leshang/P1".to_owned();
+        let replica = Arc::new(Hub::new("https://replica.example"));
+        let follower = crate::Follower::new(
+            Arc::clone(&replica),
+            crate::InProcess::new(&hub),
+            "primary.example",
+            3600,
+        );
+        let check = |repo_id: String, branch, path, want| BareCheck {
+            hub: &hub,
+            repo_id,
+            branch,
+            path,
+            want,
+        };
+        type Step<'a> = (&'static str, Box<dyn Fn() -> BareCheck<'a> + 'a>);
+        let steps: Vec<Step> = vec![
+            (
+                "create_repo",
+                Box::new(|| check(hub.create_repo(&token, "P1").unwrap(), "main", "", "P1")),
+            ),
+            (
+                "import_repo",
+                Box::new(|| {
+                    let mut local = CitedRepo::init("Imp", "Leshang Chen", "https://x/Imp");
+                    local.write_file(&path("a.txt"), &b"a\n"[..]).unwrap();
+                    local
+                        .commit(Signature::new("Leshang Chen", "l@x", 80), "a")
+                        .unwrap();
+                    let id = hub
+                        .import_repo(&token, "Imp", local.into_repository())
+                        .unwrap();
+                    check(id, "main", "a.txt", "Imp")
+                }),
+            ),
+            (
+                "follower bootstrap",
+                Box::new(|| {
+                    follower.sync_once().unwrap();
+                    BareCheck {
+                        hub: &replica,
+                        repo_id: p1(),
+                        branch: "main",
+                        path: "",
+                        want: "P1",
+                    }
+                }),
+            ),
+            (
+                "push (full)",
+                Box::new(|| {
+                    let local = clone_with_commit(&hub, &p1(), "main", "f.txt");
+                    hub.push(&token, &p1(), "main", &local, "main", false)
+                        .unwrap();
+                    check(p1(), "main", "f.txt", "P1")
+                }),
+            ),
+            (
+                "push (delta)",
+                Box::new(|| {
+                    let local = clone_with_commit(&hub, &p1(), "gui", "gui/app.js");
+                    let client = crate::HubClient::in_process(&hub);
+                    client
+                        .push_negotiated(&token, &p1(), "gui", &local, "gui", false)
+                        .unwrap();
+                    check(p1(), "gui", "gui/app.js", "P1")
+                }),
+            ),
+            (
+                "add_cite",
+                Box::new(|| {
+                    hub.add_cite(&token, &p1(), "gui", &path("gui"), cite("gui-v1"))
+                        .unwrap();
+                    check(p1(), "gui", "gui/app.js", "gui-v1")
+                }),
+            ),
+            (
+                "modify_cite",
+                Box::new(|| {
+                    hub.modify_cite(&token, &p1(), "gui", &path("gui"), cite("gui-v2"))
+                        .unwrap();
+                    check(p1(), "gui", "gui/app.js", "gui-v2")
+                }),
+            ),
+            (
+                "merge_branches",
+                Box::new(|| {
+                    hub.merge_branches(&token, &p1(), "main", "gui", MergeStrategy::Union)
+                        .unwrap();
+                    check(p1(), "main", "gui/app.js", "gui-v2")
+                }),
+            ),
+            (
+                "del_cite",
+                Box::new(|| {
+                    hub.del_cite(&token, &p1(), "main", &path("gui")).unwrap();
+                    check(p1(), "main", "gui/app.js", "P1")
+                }),
+            ),
+            (
+                "fork",
+                Box::new(|| {
+                    let id = hub.fork(&token, &p1(), "P1-fork").unwrap();
+                    check(id, "main", "f.txt", "P1-fork")
+                }),
+            ),
+            (
+                "follower sync_once",
+                Box::new(|| {
+                    follower.sync_once().unwrap();
+                    BareCheck {
+                        hub: &replica,
+                        repo_id: p1(),
+                        branch: "gui",
+                        path: "gui/app.js",
+                        want: "gui-v2",
+                    }
+                }),
+            ),
+        ];
+        for (name, step) in &steps {
+            let c = step();
+            let cell = c.hub.repo(&c.repo_id).unwrap();
+            assert!(cell.read().repo.is_bare(), "{name}: {} is bare", c.repo_id);
+            let got = c
+                .hub
+                .generate_citation(&c.repo_id, c.branch, &repo_path(c.path))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(got.repo_name, c.want, "{name}");
+        }
+        // The follower replicated every repository, each one bare.
+        for repo_id in replica.list_repos() {
+            assert!(replica.repo(&repo_id).unwrap().read().repo.is_bare());
+        }
+    }
+
+    #[test]
+    fn deposit_credits_the_deposited_branch() {
+        let (hub, token, repo_id) = hub_with_repo();
+        let local = clone_with_commit(&hub, &repo_id, "release", "r.txt");
+        hub.push(&token, &repo_id, "release", &local, "release", false)
+            .unwrap();
+        let mut root = hub
+            .generate_citation(&repo_id, "release", &RepoPath::root())
+            .unwrap();
+        root.author_list = vec!["Ada".into(), "Grace".into()];
+        hub.modify_cite(&token, &repo_id, "release", &RepoPath::root(), root)
+            .unwrap();
+        let dep = hub.deposit(&token, &repo_id, "release", "P1 r1").unwrap();
+        assert_eq!(dep.creators, vec!["Ada".to_owned(), "Grace".to_owned()]);
+        let dep = hub.deposit(&token, &repo_id, "main", "P1 main").unwrap();
+        assert_eq!(dep.creators, vec!["Leshang Chen".to_owned()]);
+    }
+
+    #[test]
+    fn writes_on_a_branch_keep_the_hosted_head() {
+        let (hub, token, repo_id) = hub_with_repo();
+        let local = clone_with_commit(&hub, &repo_id, "gui", "gui/app.js");
+        hub.push(&token, &repo_id, "gui", &local, "gui", false)
+            .unwrap();
+        hub.add_cite(&token, &repo_id, "gui", &path("gui"), cite("gui-cite"))
+            .unwrap();
+        hub.merge_branches(&token, &repo_id, "gui", "main", MergeStrategy::Union)
+            .unwrap();
+        let ApiResponse::Bundle(bundle) = hub.dispatch(ApiRequest::CloneRepo {
+            repo_id: repo_id.clone(),
+        }) else {
+            panic!("clone_repo answers with a bundle");
+        };
+        assert_eq!(bundle.head.as_deref(), Some("main"));
+        assert_eq!(
+            hub.clone_repo(&repo_id).unwrap().current_branch(),
+            Some("main")
+        );
+    }
+
+    /// A repository whose `main` has no `citation.cite` while its
+    /// `cited` branch has one; HEAD is on `main`.
+    fn hub_with_half_cited_repo() -> (Hub, Token, String) {
+        let (hub, token, _) = hub_with_repo();
+        let mut plain = Repository::init("Half");
+        plain
+            .worktree_mut()
+            .write(&path("a.txt"), &b"a\n"[..])
+            .unwrap();
+        plain
+            .commit(Signature::new("Leshang Chen", "l@x", 10), "plain")
+            .unwrap();
+        plain.create_branch("cited").unwrap();
+        plain.checkout_branch("cited").unwrap();
+        let root = Citation::builder("Half-cited", "someone")
+            .author("Half Author")
+            .build();
+        let func = citekit::CitationFunction::new(root);
+        citekit::file::write_worktree(plain.worktree_mut(), &func).unwrap();
+        plain
+            .commit(Signature::new("Leshang Chen", "l@x", 20), "cite")
+            .unwrap();
+        plain.checkout_branch("main").unwrap();
+        let repo_id = hub.import_repo(&token, "Half", plain).unwrap();
+        (hub, token, repo_id)
+    }
+
+    #[test]
+    fn generate_citation_reads_the_branch_not_head() {
+        let (hub, _, repo_id) = hub_with_half_cited_repo();
+        let c = hub
+            .generate_citation(&repo_id, "cited", &path("a.txt"))
+            .unwrap();
+        assert_eq!(c.repo_name, "Half-cited");
+        let credits = hub.credited_authors(&repo_id, "cited").unwrap();
+        assert_eq!(
+            credits,
+            vec![("Half Author".to_owned(), vec![RepoPath::root()])]
+        );
+    }
+
+    #[test]
+    fn a_tip_without_citation_file_is_bad_citation_file() {
+        let (hub, token, repo_id) = hub_with_half_cited_repo();
+        let requests = [
+            ApiRequest::GenerateCitation {
+                repo_id: repo_id.clone(),
+                branch: "main".into(),
+                path: path("a.txt"),
+            },
+            ApiRequest::GenerateCitation {
+                repo_id: repo_id.clone(),
+                branch: "main".into(),
+                path: path("missing.txt"),
+            },
+            ApiRequest::CreditedAuthors {
+                repo_id: repo_id.clone(),
+                branch: "main".into(),
+            },
+            ApiRequest::Deposit {
+                token: token.as_str().to_owned(),
+                repo_id: repo_id.clone(),
+                branch: "main".into(),
+                title: "t".into(),
+            },
+        ];
+        for request in requests {
+            let name = request.method();
+            let ApiResponse::Error(err) =
+                ApiResponse::parse(&hub.handle_wire(&request.encode())).unwrap()
+            else {
+                panic!("{name}: expected an error response");
+            };
+            assert_eq!(err.code, crate::api::ErrorCode::BadCitationFile, "{name}");
+        }
+        // Searches read HEAD's tip, which has no citations: not an error.
+        assert!(hub.find_repos_citing("Half Author").is_empty());
     }
 }
