@@ -20,11 +20,14 @@ pub static PACK_READS: Counter = Counter::new();
 pub static LOOSE_READS: Counter = Counter::new();
 
 /// History walks (log, first-parent chain, ancestry, merge-base)
-/// answered from the commit-graph index.
+/// answered from the commit-graph index. A walk is counted once, when
+/// it starts: resuming a [`crate::LogWalk`] for a later page adds no
+/// count.
 pub static GRAPH_WALKS: Counter = Counter::new();
 
 /// History walks that decoded commits because the graph was absent or
-/// did not cover the starting commit.
+/// did not cover the starting commit. Counted like [`GRAPH_WALKS`]:
+/// once per walk started, never per page.
 pub static FALLBACK_WALKS: Counter = Counter::new();
 
 /// Delta links applied while resolving packed objects (one per chain

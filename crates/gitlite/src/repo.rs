@@ -349,62 +349,11 @@ impl Repository {
     // ----- history ------------------------------------------------------
 
     /// Commits reachable from `from`, newest first (by timestamp, ties by
-    /// id for determinism).
-    ///
-    /// Served from the store's commit-graph when it covers `from`
-    /// (positions and record timestamps only — no commit is decoded);
-    /// otherwise a decode walk that fetches each commit exactly once.
+    /// id for determinism): a [`LogWalk`] filled to the end.
     pub fn log(&self, from: ObjectId) -> Result<Vec<ObjectId>> {
-        if let Some(graph) = self.odb.commit_graph() {
-            if let Some(pos) = graph.lookup(from) {
-                crate::metrics::count_walk(true);
-                return Ok(graph.log(pos));
-            }
-        }
-        crate::metrics::count_walk(false);
-        self.log_decode(from)
-    }
-
-    /// Decode-walk reference for [`Repository::log`]. Each heap entry
-    /// carries the commit's `(timestamp, parents)` from the single fetch
-    /// made when it was first discovered, so no commit is decoded twice.
-    fn log_decode(&self, from: ObjectId) -> Result<Vec<ObjectId>> {
-        struct Entry(i64, ObjectId, Vec<ObjectId>);
-        impl PartialEq for Entry {
-            fn eq(&self, other: &Self) -> bool {
-                (self.0, self.1) == (other.0, other.1)
-            }
-        }
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.cmp(&other.0).then_with(|| self.1.cmp(&other.1))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        let fetch = |id: ObjectId| -> Result<Entry> {
-            let obj = self.odb.commit_ref(id)?;
-            let c = obj.as_commit().expect("checked kind");
-            Ok(Entry(c.author.timestamp, id, c.parents.clone()))
-        };
-        let mut heap = BinaryHeap::new();
-        let mut seen = HashSet::new();
-        heap.push(fetch(from)?);
-        seen.insert(from);
-        let mut out = Vec::new();
-        while let Some(Entry(_, id, parents)) = heap.pop() {
-            out.push(id);
-            for p in parents {
-                if seen.insert(p) {
-                    heap.push(fetch(p)?);
-                }
-            }
-        }
-        Ok(out)
+        let mut walk = LogWalk::new(self, from)?;
+        walk.fill(self, usize::MAX)?;
+        Ok(walk.ids)
     }
 
     /// Commits reachable from HEAD, newest first.
@@ -542,6 +491,109 @@ impl Repository {
             }
         }
         Ok(false)
+    }
+}
+
+/// A resumable newest-first history walk: the order of
+/// [`Repository::log`], produced a page at a time.
+///
+/// Served from the store's commit-graph when it covers the tip
+/// (positions and record timestamps only, no commit is decoded, so the
+/// whole order is known at once). Otherwise a decode walk: each heap
+/// entry carries the commit's `(timestamp, parents)` from the single
+/// fetch made when it was first discovered, and [`LogWalk::fill`] pops
+/// only until the requested count is known, so a page near the tip reads
+/// about that many commits rather than the whole history. Resuming picks
+/// up where the last fill stopped.
+///
+/// A commit's history is immutable (content-addressed), so a walk keyed
+/// by its tip stays valid however the branches move. After a store read
+/// error the walk is incomplete and must be discarded.
+#[derive(Debug)]
+pub struct LogWalk {
+    tip: ObjectId,
+    /// Discovered commits not yet emitted, newest on top.
+    heap: BinaryHeap<Pending>,
+    /// Every commit ever pushed onto the heap.
+    seen: HashSet<ObjectId>,
+    /// Commits emitted so far, in log order.
+    ids: Vec<ObjectId>,
+}
+
+/// A discovered commit: `(timestamp, id)` orders the heap, `parents` are
+/// kept from the fetch that discovered it.
+#[derive(Debug)]
+struct Pending(i64, ObjectId, Vec<ObjectId>);
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        (self.0, self.1) == (other.0, other.1)
+    }
+}
+impl Eq for Pending {}
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0).then_with(|| self.1.cmp(&other.1))
+    }
+}
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Pending {
+    fn fetch(repo: &Repository, id: ObjectId) -> Result<Pending> {
+        let obj = repo.odb.commit_ref(id)?;
+        let c = obj.as_commit().expect("checked kind");
+        Ok(Pending(c.author.timestamp, id, c.parents.clone()))
+    }
+}
+
+impl LogWalk {
+    /// Starts a walk at `tip`, counted once in [`crate::metrics`] as a
+    /// graph or a fallback walk; later fills add no count.
+    pub fn new(repo: &Repository, tip: ObjectId) -> Result<LogWalk> {
+        let mut walk = LogWalk {
+            tip,
+            heap: BinaryHeap::new(),
+            seen: HashSet::new(),
+            ids: Vec::new(),
+        };
+        if let Some(graph) = repo.odb.commit_graph() {
+            if let Some(pos) = graph.lookup(tip) {
+                crate::metrics::count_walk(true);
+                walk.ids = graph.log(pos);
+                return Ok(walk);
+            }
+        }
+        crate::metrics::count_walk(false);
+        walk.heap.push(Pending::fetch(repo, tip)?);
+        walk.seen.insert(tip);
+        Ok(walk)
+    }
+
+    /// The commit the walk started from.
+    pub fn tip(&self) -> ObjectId {
+        self.tip
+    }
+
+    /// Walks on until at least `n` commits are known or history ends,
+    /// and returns every commit known so far, in log order. `repo` must
+    /// hold the objects of the repository the walk started in.
+    pub fn fill(&mut self, repo: &Repository, n: usize) -> Result<&[ObjectId]> {
+        while self.ids.len() < n {
+            let Some(Pending(_, id, parents)) = self.heap.pop() else {
+                break;
+            };
+            for p in parents {
+                if self.seen.insert(p) {
+                    self.heap.push(Pending::fetch(repo, p)?);
+                }
+            }
+            self.ids.push(id);
+        }
+        Ok(&self.ids)
     }
 }
 

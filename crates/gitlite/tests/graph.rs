@@ -6,12 +6,13 @@
 use gitlite::graph::CommitGraph;
 use gitlite::mergebase::{ancestor_set_decode, merge_base_decode};
 use gitlite::{
-    merge_base, Commit, MemStore, Object, ObjectId, ObjectStore, PackStore, Repository, Signature,
-    Tree, GRAPH_FILE,
+    merge_base, Commit, LogWalk, MemStore, Object, ObjectId, ObjectStore, PackStore, Repository,
+    Signature, Tree, GRAPH_FILE,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -92,6 +93,55 @@ fn random_dag(seed: u64, commits: usize) -> (MemStore, Vec<ObjectId>) {
     (store, ids)
 }
 
+/// A `MemStore` that serves a commit-graph, so walks on it take the
+/// graph route without a pack directory.
+#[derive(Debug, Clone)]
+struct GraphServed {
+    inner: MemStore,
+    graph: Arc<CommitGraph>,
+}
+
+impl ObjectStore for GraphServed {
+    fn get(&self, id: ObjectId) -> gitlite::Result<Arc<Object>> {
+        self.inner.get(id)
+    }
+    fn put_with_id(&mut self, id: ObjectId, object: Arc<Object>) {
+        self.inner.put_with_id(id, object)
+    }
+    fn contains(&self, id: ObjectId) -> bool {
+        self.inner.contains(id)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn ids(&self) -> Vec<ObjectId> {
+        self.inner.ids()
+    }
+    fn clone_box(&self) -> Box<dyn ObjectStore> {
+        Box::new(self.clone())
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn commit_graph(&self) -> Option<Arc<CommitGraph>> {
+        Some(self.graph.clone())
+    }
+}
+
+/// The log of `tip` as a [`LogWalk`] filled in random steps (zero
+/// included) until a fill comes back short.
+fn log_in_steps(repo: &Repository, tip: ObjectId, rng: &mut Rng) -> Vec<ObjectId> {
+    let mut walk = LogWalk::new(repo, tip).unwrap();
+    let mut want = 0;
+    loop {
+        want += rng.below(5);
+        let known = walk.fill(repo, want).unwrap();
+        if known.len() < want {
+            return known.to_vec();
+        }
+    }
+}
+
 proptest! {
     /// The core equivalence property: over random DAGs (linear chains,
     /// merges, octopus merges, unrelated roots), every graph-backed walk
@@ -106,6 +156,10 @@ proptest! {
         // A MemStore-backed repository has no graph: its walks ARE the
         // decode reference.
         let repo = Repository::init_with("ref", Box::new(store.clone()));
+        let graph_repo = Repository::init_with(
+            "graph",
+            Box::new(GraphServed { inner: store.clone(), graph: Arc::new(graph.clone()) }),
+        );
 
         let mut rng = Rng(seed ^ 0xdead_beef);
         for _ in 0..8 {
@@ -116,6 +170,11 @@ proptest! {
 
             prop_assert_eq!(graph.merge_base(pa, pb), merge_base_decode(&store, a, b).unwrap());
             prop_assert_eq!(graph.log(pa), repo.log(a).unwrap());
+            // Resumed walks, decode-served and graph-served, paged in
+            // random step sizes, reproduce the log exactly.
+            for served in [&repo, &graph_repo] {
+                prop_assert_eq!(log_in_steps(served, a, &mut rng), repo.log(a).unwrap());
+            }
             prop_assert_eq!(graph.ancestor_set(pa), ancestor_set_decode(&store, a).unwrap());
             prop_assert_eq!(
                 graph.is_ancestor(pa, pb),

@@ -38,6 +38,9 @@
 //!   proceed concurrently under one read guard.
 //! * `audit` / `zenodo` / `heritage` — leaf `Mutex`es around append-mostly
 //!   simulators.
+//! * each repository's log-walk slot — a leaf `Mutex` taken under that
+//!   repository's read lock, held only to take or put back the walk that
+//!   `log`/`log_page` resume (never across a store read).
 //! * `clock` / token counter — atomics.
 //!
 //! Lock order: a repository lock is only ever taken *after* the `repos`
@@ -74,7 +77,7 @@ use crate::placement::Placement;
 use crate::repl::ReplState;
 use crate::zenodo::{Deposit, Zenodo};
 use citekit::{Citation, CitedRepo, ForkOptions, MergeStrategy, Resolution};
-use gitlite::{ObjectId, RepoPath, Repository, Signature};
+use gitlite::{LogWalk, ObjectId, RepoPath, Repository, Signature};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
@@ -115,6 +118,19 @@ struct HostedRepo {
     repo: Repository,
     /// username → role. Absence means Reader (public repositories).
     roles: BTreeMap<String, Role>,
+    /// The last `log`/`log_page` walk, resumed by the next page at the
+    /// same tip (see [`Hub::log_window`]). Empty until a log is served.
+    log_walk: Mutex<Option<LogWalk>>,
+}
+
+impl HostedRepo {
+    fn new(repo: Repository, roles: BTreeMap<String, Role>) -> HostedRepo {
+        HostedRepo {
+            repo,
+            roles,
+            log_walk: Mutex::new(None),
+        }
+    }
 }
 
 type RepoCell = Arc<RwLock<HostedRepo>>;
@@ -1625,13 +1641,10 @@ impl Hub {
                     .map_err(HubError::Git)?;
                 self.repos.write().insert(
                     repo_id.to_owned(),
-                    Arc::new(RwLock::new(HostedRepo {
-                        repo,
-                        // Roles are not replicated: permission checks are
-                        // the primary's job, and every write redirects
-                        // there anyway.
-                        roles: BTreeMap::new(),
-                    })),
+                    // Roles are not replicated: permission checks are
+                    // the primary's job, and every write redirects there
+                    // anyway.
+                    Arc::new(RwLock::new(HostedRepo::new(repo, BTreeMap::new()))),
                 );
                 Ok(())
             }
@@ -2051,10 +2064,7 @@ impl Hub {
         roles.insert(user.username.clone(), Role::Owner);
         self.insert_repo(
             repo_id.clone(),
-            HostedRepo {
-                repo: cited.into_repository().into_bare(),
-                roles,
-            },
+            HostedRepo::new(cited.into_repository().into_bare(), roles),
         )?;
         self.record(ts, Some(&user.username), "create_repo", &repo_id, true);
         Ok(repo_id)
@@ -2081,13 +2091,7 @@ impl Hub {
         rehomed.head_commit().map_err(HubError::Git)?; // must have content
         let mut roles = BTreeMap::new();
         roles.insert(user.username.clone(), Role::Owner);
-        self.insert_repo(
-            repo_id.clone(),
-            HostedRepo {
-                repo: rehomed,
-                roles,
-            },
-        )?;
+        self.insert_repo(repo_id.clone(), HostedRepo::new(rehomed, roles))?;
         self.account_repo_bytes(&repo_id, size);
         let ts = self.tick();
         self.record(ts, Some(&user.username), "import_repo", &repo_id, true);
@@ -2125,21 +2129,7 @@ impl Hub {
         let cell = self.repo(repo_id)?;
         let hosted = cell.read();
         let tip = hosted.repo.branch_tip(branch).map_err(HubError::Git)?;
-        // The ordering walk is graph-served on pack-backed repos; only
-        // the entries' display fields still read the commit objects
-        // (in place — no per-commit clone).
-        let mut out = Vec::new();
-        for id in hosted.repo.log(tip).map_err(HubError::Git)? {
-            let obj = hosted.repo.odb().commit_ref(id).map_err(HubError::Git)?;
-            let c = obj.as_commit().expect("checked kind");
-            out.push(LogEntry {
-                id,
-                author: c.author.name.clone(),
-                timestamp: c.author.timestamp,
-                message: c.message.clone(),
-            });
-        }
-        Ok(out)
+        Ok(Self::log_window(&hosted, tip, 0, usize::MAX)?.0)
     }
 
     /// Clamps a wire `limit` to `1..=MAX_PAGE_SIZE`, defaulting absent or
@@ -2167,24 +2157,43 @@ impl Hub {
             None => (hosted.repo.branch_tip(branch).map_err(HubError::Git)?, 0),
             Some(c) => parse_log_cursor(c)?,
         };
-        // The ordering walk is graph-served and cheap; only the page's
-        // entries decode their commits.
-        let ids = hosted.repo.log(tip).map_err(HubError::Git)?;
-        let start = offset.min(ids.len());
-        let end = (start + limit).min(ids.len());
-        let mut items = Vec::with_capacity(end - start);
-        for &id in &ids[start..end] {
-            let obj = hosted.repo.odb().commit_ref(id).map_err(HubError::Git)?;
-            let c = obj.as_commit().expect("checked kind");
-            items.push(LogEntry {
-                id,
-                author: c.author.name.clone(),
-                timestamp: c.author.timestamp,
-                message: c.message.clone(),
-            });
-        }
-        let next = (end < ids.len()).then(|| format!("{}:{end}", tip.to_hex()));
+        let (items, next) = Self::log_window(&hosted, tip, offset, limit)?;
+        let next = next.map(|end| format!("{}:{end}", tip.to_hex()));
         Ok(Page { items, next })
+    }
+
+    /// The log of `tip` from `offset`, at most `limit` entries, and the
+    /// offset of the next entry when more follow.
+    ///
+    /// The walk in the repository's slot is resumed when it started at
+    /// `tip` (history under a tip never changes) and goes back into the
+    /// slot afterwards, so paging through a log walks it once. Each call
+    /// walks one commit past the window, and only the window's commits
+    /// are read for their entries. The slot's lock is held for the take
+    /// and the put only, never across a store read: a concurrent reader
+    /// that finds the slot empty walks on its own.
+    fn log_window(
+        hosted: &HostedRepo,
+        tip: ObjectId,
+        offset: usize,
+        limit: usize,
+    ) -> Result<(Vec<LogEntry>, Option<usize>)> {
+        let end = offset.saturating_add(limit);
+        let resumed = hosted.log_walk.lock().take().filter(|w| w.tip() == tip);
+        let mut walk = match resumed {
+            Some(walk) => walk,
+            None => LogWalk::new(&hosted.repo, tip).map_err(HubError::Git)?,
+        };
+        let ids = walk
+            .fill(&hosted.repo, end.saturating_add(1))
+            .map_err(HubError::Git)?;
+        let next = (ids.len() > end).then_some(end);
+        let items = ids[offset.min(ids.len())..end.min(ids.len())]
+            .iter()
+            .map(|&id| log_entry(&hosted.repo, id))
+            .collect::<Result<Vec<_>>>()?;
+        *hosted.log_walk.lock() = Some(walk);
+        Ok((items, next))
     }
 
     fn op_audit_log_page(
@@ -2403,10 +2412,7 @@ impl Hub {
         roles.insert(user.username.clone(), Role::Owner);
         self.insert_repo(
             new_repo_id.clone(),
-            HostedRepo {
-                repo: outcome.fork.into_repository().into_bare(),
-                roles,
-            },
+            HostedRepo::new(outcome.fork.into_repository().into_bare(), roles),
         )?;
         self.record(ts, Some(&user.username), "fork", &new_repo_id, true);
         Ok(new_repo_id)
@@ -2733,6 +2739,18 @@ fn unexpected(response: &ApiResponse) -> HubError {
         "response shape does not match the request (got {})",
         response.kind()
     ))
+}
+
+/// One commit's `log` entry, read in place (no commit clone).
+fn log_entry(repo: &Repository, id: ObjectId) -> Result<LogEntry> {
+    let obj = repo.odb().commit_ref(id).map_err(HubError::Git)?;
+    let c = obj.as_commit().expect("checked kind");
+    Ok(LogEntry {
+        id,
+        author: c.author.name.clone(),
+        timestamp: c.author.timestamp,
+        message: c.message.clone(),
+    })
 }
 
 /// Decodes an opaque log cursor (`<tip hex>:<offset>`).

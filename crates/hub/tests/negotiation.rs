@@ -3,10 +3,12 @@
 //! new commits ships O(N) objects, not the branch closure), pagination
 //! semantics, and the failure modes (unanchored deltas, delta imports).
 
-use gitlite::{path, ObjectId, Signature};
+use gitlite::{path, MemStore, Object, ObjectId, ObjectStore, Signature};
 use hub::api::RepoBundle;
 use hub::{Hub, HubClient, HubError};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn sig(t: i64) -> Signature {
     Signature::new("Ann", "ann@x", t)
@@ -15,7 +17,11 @@ fn sig(t: i64) -> Signature {
 /// Hub + signed-in owner + hosted repo seeded with `commits` commits on
 /// main, and a local clone at the same tip.
 fn seeded(commits: usize) -> (Hub, hub::Token, String, gitlite::Repository) {
-    let hub = Hub::new("https://h");
+    seeded_in(Hub::new("https://h"), commits)
+}
+
+/// [`seeded`] on a caller-built hub.
+fn seeded_in(hub: Hub, commits: usize) -> (Hub, hub::Token, String, gitlite::Repository) {
     hub.register_user("ann", "Ann").unwrap();
     let token = hub.login("ann").unwrap();
     let repo_id = hub.create_repo(&token, "p").unwrap();
@@ -315,24 +321,115 @@ fn log_pages_are_stable_while_the_branch_advances() {
         .push(&token, &repo_id, "main", &local, "main", false)
         .unwrap();
 
-    // ...and the continuation still serves the pinned walk, no shifted
-    // or duplicated entries.
-    let mut rest = Vec::new();
-    let mut cursor = Some(cursor);
-    while let Some(c) = cursor {
-        let page = client
-            .log_page(&repo_id, "main", Some(&c), Some(10))
-            .unwrap();
-        rest.extend(page.items);
-        cursor = page.next;
-    }
-    let mut all = first.items;
-    all.extend(rest);
-    assert_eq!(all, full);
-
     // A fresh walk sees the new commits.
+    let full_new = hub.log(&repo_id, "main").unwrap();
     let fresh = client.log_page(&repo_id, "main", None, Some(10)).unwrap();
     assert_eq!(fresh.items[0].id, local.branch_tip("main").unwrap());
+
+    // ...and the continuation still serves the pinned walk, no shifted
+    // or duplicated entries, while the fresh walk pages alongside it:
+    // alternating cursors replace the repository's walk slot on every
+    // call, and each walk still equals the log at its own tip.
+    let mut walks = [(first.items, Some(cursor)), (fresh.items, fresh.next)];
+    while walks.iter().any(|(_, cursor)| cursor.is_some()) {
+        for (items, cursor) in &mut walks {
+            if let Some(c) = cursor.take() {
+                let page = client
+                    .log_page(&repo_id, "main", Some(&c), Some(10))
+                    .unwrap();
+                items.extend(page.items);
+                *cursor = page.next;
+            }
+        }
+    }
+    let [(old, _), (new, _)] = walks;
+    assert_eq!(old, full);
+    assert_eq!(new, full_new);
+}
+
+/// A store that counts object reads, so a test can see how much history
+/// one request walked (the process-wide `gitlite::metrics` statics are
+/// shared by tests running in parallel). `commit_ref` is left to its
+/// provided form, which reads through `get`, so walks are counted however
+/// the store is reached (boxed or not).
+#[derive(Debug)]
+struct CountingStore {
+    inner: MemStore,
+    reads: Arc<AtomicUsize>,
+}
+
+impl ObjectStore for CountingStore {
+    fn get(&self, id: ObjectId) -> gitlite::Result<Arc<Object>> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.get(id)
+    }
+    fn put_with_id(&mut self, id: ObjectId, object: Arc<Object>) {
+        self.inner.put_with_id(id, object)
+    }
+    fn contains(&self, id: ObjectId) -> bool {
+        self.inner.contains(id)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn ids(&self) -> Vec<ObjectId> {
+        self.inner.ids()
+    }
+    fn clone_box(&self) -> Box<dyn ObjectStore> {
+        Box::new(CountingStore {
+            inner: self.inner.clone(),
+            reads: self.reads.clone(),
+        })
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn log_pages_stop_at_the_page_and_resume_the_walk() {
+    let reads = Arc::new(AtomicUsize::new(0));
+    let counter = reads.clone();
+    let hub = Hub::with_store_factory(
+        "https://h",
+        Box::new(move || {
+            Box::new(CountingStore {
+                inner: MemStore::new(),
+                reads: counter.clone(),
+            })
+        }),
+    );
+    let (hub, _, repo_id, _) = seeded_in(hub, 499);
+    let client = HubClient::in_process(&hub);
+    let limit = 10;
+
+    reads.store(0, Ordering::Relaxed);
+    let first = client
+        .log_page(&repo_id, "main", None, Some(limit as u32))
+        .unwrap();
+    let first_reads = reads.load(Ordering::Relaxed);
+    assert_eq!(first.items.len(), limit);
+    // The walk stops one commit past the page (plus the page's entries),
+    // instead of decoding all 500 commits.
+    assert!(first_reads <= 3 * limit, "first page read {first_reads}");
+
+    reads.store(0, Ordering::Relaxed);
+    let second = client
+        .log_page(&repo_id, "main", first.next.as_deref(), Some(limit as u32))
+        .unwrap();
+    let second_reads = reads.load(Ordering::Relaxed);
+    assert_eq!(second.items.len(), limit);
+    // The next page at the same tip resumes the walk: about `limit`
+    // more commits walked, and `limit` entries decoded.
+    assert!(
+        second_reads <= 2 * limit + 2,
+        "second page read {second_reads}"
+    );
+
+    let full = hub.log(&repo_id, "main").unwrap();
+    assert_eq!(full.len(), 500);
+    assert_eq!(first.items, full[..limit]);
+    assert_eq!(second.items, full[limit..2 * limit]);
 }
 
 #[test]
@@ -391,4 +488,17 @@ fn page_limits_are_clamped_and_bad_cursors_refused() {
         client.audit_log_page(Some("x"), None),
         Err(HubError::BadRequest(_))
     ));
+    // An offset past the end of any history is an empty last page, even
+    // where offset + limit would overflow.
+    let tip = hub.log(&repo_id, "main").unwrap()[0].id;
+    let page = client
+        .log_page(
+            &repo_id,
+            "main",
+            Some(&format!("{}:{}", tip.to_hex(), u64::MAX)),
+            None,
+        )
+        .unwrap();
+    assert!(page.items.is_empty());
+    assert!(page.next.is_none());
 }
