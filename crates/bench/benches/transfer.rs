@@ -17,18 +17,22 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gitlite::{path, Repository, Signature};
-use hub::{Hub, HubClient, InProcess, Token, Transport};
+use hub::{ApiRequest, Hub, HubClient, InProcess, Token, Transport};
 use std::cell::Cell;
 use std::time::Duration;
 
 const BASE_COMMITS: usize = 5_000;
 const NEW_COMMITS: usize = 10;
 
-/// Counts request/response bytes crossing the transport.
+/// Counts request/response bytes crossing the transport and, while
+/// `inspect` is set (never during the timed loops), the objects of the
+/// last pushed bundle.
 struct Counting<'h> {
     inner: InProcess<'h>,
     sent: Cell<u64>,
     received: Cell<u64>,
+    inspect: Cell<bool>,
+    pushed_objects: Cell<usize>,
 }
 
 impl<'h> Counting<'h> {
@@ -37,6 +41,8 @@ impl<'h> Counting<'h> {
             inner: InProcess::new(hub),
             sent: Cell::new(0),
             received: Cell::new(0),
+            inspect: Cell::new(false),
+            pushed_objects: Cell::new(0),
         }
     }
 
@@ -48,6 +54,11 @@ impl<'h> Counting<'h> {
 impl Transport for Counting<'_> {
     fn send(&self, request: &str) -> String {
         self.sent.set(self.sent.get() + request.len() as u64 + 1);
+        if self.inspect.get() {
+            if let Ok(ApiRequest::Push { bundle, .. }) = ApiRequest::parse(request) {
+                self.pushed_objects.set(bundle.objects.len());
+            }
+        }
         let reply = self.inner.send(request);
         self.received
             .set(self.received.get() + reply.len() as u64 + 1);
@@ -140,6 +151,7 @@ fn bench(c: &mut Criterion) {
 
     rewind(&neg);
     neg.client.transport().reset();
+    neg.client.transport().inspect.set(true);
     neg.client
         .push_negotiated(
             &neg.token,
@@ -151,13 +163,13 @@ fn bench(c: &mut Criterion) {
         )
         .unwrap();
     let (neg_sent, neg_recv) = neg.client.transport().reset();
+    neg.client.transport().inspect.set(false);
+    let delta_objects = neg.client.transport().pushed_objects.get();
 
     let full_objects = hub::RepoBundle::from_branch(&full.advanced, "main")
         .unwrap()
         .objects
         .len();
-    // 3 objects per new commit: commit + root tree + churn blob.
-    let delta_objects = NEW_COMMITS * 3;
     eprintln!(
         "transfer_bytes full={} negotiated={} ratio={:.1}",
         full_sent + full_recv,

@@ -23,7 +23,9 @@
 //! * **Merges** — merge-base selection and three-way merge with diff3
 //!   conflict markers ([`mergebase`], [`merge`]), with an exclusion hook so
 //!   `citation.cite` is never text-merged.
-//! * **Remotes** — clone / fetch / push between repositories ([`remote`]).
+//! * **Remotes** — clone / fetch / push between repositories ([`remote`]),
+//!   and the sparse walk that lists the objects past a negotiated
+//!   frontier ([`frontier`]).
 //!
 //! ```
 //! use gitlite::{Repository, Signature, path};
@@ -41,6 +43,7 @@ pub mod annotate;
 pub mod codec;
 pub mod diff;
 pub mod error;
+pub mod frontier;
 pub mod graph;
 pub mod hash;
 pub mod merge;
@@ -59,6 +62,7 @@ pub mod worktree;
 pub use annotate::{annotate, LineOrigin};
 pub use diff::{diff_listings, diff_trees, Rename, TreeDiff, RENAME_THRESHOLD};
 pub use error::{GitError, Result};
+pub use frontier::DeltaWalk;
 pub use graph::{CommitGraph, GraphEntry, PathChange, GRAPH_FILE};
 pub use hash::{ObjectId, Sha1};
 pub use merge::{merge_listings, Conflict, ConflictKind, MergeOptions, MergeReport, TreeMerge};

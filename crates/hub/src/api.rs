@@ -162,7 +162,7 @@ use crate::perm::Role;
 use crate::server::{LogEntry, User};
 use crate::zenodo::Deposit;
 use citekit::{Citation, MergeStrategy, Resolution};
-use gitlite::{CacheStats, ObjectId, ObjectStore, RepoPath, Repository};
+use gitlite::{CacheStats, DeltaWalk, ObjectId, ObjectStore, RepoPath, Repository};
 use sjson::{Object, Value};
 use std::collections::HashSet;
 use std::fmt;
@@ -589,10 +589,14 @@ fn proto(msg: impl Into<String>) -> WireError {
 /// the complete closure of its refs and can materialize a standalone
 /// repository. A **delta** bundle (protocol v2) carries only the objects
 /// past a negotiated frontier: `basis` names commits the receiver must
-/// already hold, and `objects` is everything reachable from the refs
-/// that is not covered by the basis commits' closures. Delta bundles can
-/// only be *applied* to a repository that has the basis
-/// ([`crate::Hub`]'s push path); materializing one standalone fails with
+/// already hold reachable from its refs, and `objects` is what the refs
+/// reach past them — the commits down to the basis with their trees and
+/// blobs, less what the basis commits' trees hold at the same path. An
+/// object the basis holds only at another path (a moved or copied file)
+/// may be sent again; one the basis lacks is never left out (see
+/// [`gitlite::frontier`]). Delta bundles can only be *applied* to a
+/// repository whose refs reach the basis ([`crate::Hub`]'s push and
+/// replication paths); materializing one standalone fails with
 /// `ObjectNotFound`. On the wire the `basis` key is simply absent for
 /// full bundles, so the v1 encoding is unchanged.
 #[derive(Debug, Clone, PartialEq)]
@@ -661,63 +665,20 @@ impl RepoBundle {
     /// past the `common` frontier (commit ids the receiver confirmed
     /// having, e.g. a `negotiate` reply). The walk from the tip stops at
     /// the first common commit on every path; those stop commits become
-    /// the bundle's `basis`, and their tree closures are subtracted from
-    /// the shipped objects (a commit on the receiver is there with its
-    /// complete closure). With an empty `common` this degrades to a full
-    /// bundle — same bytes as [`RepoBundle::from_branch`].
+    /// the bundle's `basis`, and what their closures hold is left out
+    /// (a commit on the receiver is there with its complete closure).
+    /// See [`gitlite::frontier`] for how "holds" is decided: an object
+    /// the basis holds only at another path may be sent again. With an
+    /// empty `common` this degrades to a full bundle — the same objects
+    /// as [`RepoBundle::from_branch`].
     pub fn delta_from_branch(
         repo: &Repository,
         branch: &str,
         common: &HashSet<ObjectId>,
     ) -> gitlite::Result<RepoBundle> {
         let tip = repo.branch_tip(branch)?;
-        // New commits: everything from the tip down to the frontier.
-        let mut new_commits = Vec::new();
-        let mut basis = Vec::new();
-        let mut seen = HashSet::new();
-        let mut stack = vec![tip];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if common.contains(&id) {
-                basis.push(id);
-                continue;
-            }
-            let obj = repo.odb().commit_ref(id)?;
-            stack.extend_from_slice(&obj.as_commit().expect("checked kind").parents);
-            new_commits.push(id);
-        }
-        // Objects the receiver provably has: the basis commits' tree
-        // closures. `known` then doubles as the dedupe set for shipping.
-        let mut known: HashSet<ObjectId> = HashSet::new();
-        for &b in &basis {
-            collect_tree_closure(repo, repo.tree_of(b)?, &mut known)?;
-        }
-        let mut objects = Vec::new();
-        for &id in &new_commits {
-            objects.push((id, repo.odb().get(id)?.canonical_bytes()));
-            let mut stack = vec![repo.tree_of(id)?];
-            while let Some(oid) = stack.pop() {
-                if !known.insert(oid) {
-                    continue;
-                }
-                let obj = repo.odb().get(oid)?;
-                if let gitlite::Object::Tree(t) = &*obj {
-                    for (_, e) in t.iter() {
-                        stack.push(e.id);
-                    }
-                }
-                objects.push((oid, obj.canonical_bytes()));
-            }
-        }
-        Ok(RepoBundle {
-            name: repo.name().to_owned(),
-            head: Some(branch.to_owned()),
-            refs: vec![(branch.to_owned(), tip)],
-            objects,
-            basis,
-        })
+        let refs = vec![(branch.to_owned(), tip)];
+        Self::delta(repo, refs, Some(branch.to_owned()), common)
     }
 
     /// Bundles *every* branch of `repo` incrementally past the `common`
@@ -736,49 +697,28 @@ impl RepoBundle {
             .branches()
             .map(|(b, tip)| (b.to_owned(), tip))
             .collect();
-        let mut new_commits = Vec::new();
-        let mut basis = Vec::new();
-        let mut seen = HashSet::new();
-        let mut stack: Vec<ObjectId> = refs.iter().map(|(_, tip)| *tip).collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if common.contains(&id) {
-                basis.push(id);
-                continue;
-            }
-            let obj = repo.odb().commit_ref(id)?;
-            stack.extend_from_slice(&obj.as_commit().expect("checked kind").parents);
-            new_commits.push(id);
-        }
-        let mut known: HashSet<ObjectId> = HashSet::new();
-        for &b in &basis {
-            collect_tree_closure(repo, repo.tree_of(b)?, &mut known)?;
-        }
+        let head = repo.current_branch().map(str::to_owned);
+        Self::delta(repo, refs, head, common)
+    }
+
+    fn delta(
+        repo: &Repository,
+        refs: Vec<(String, ObjectId)>,
+        head: Option<String>,
+        common: &HashSet<ObjectId>,
+    ) -> gitlite::Result<RepoBundle> {
+        let tips: Vec<ObjectId> = refs.iter().map(|(_, tip)| *tip).collect();
+        let walk = DeltaWalk::new(repo.odb(), &tips, |id| common.contains(id))?;
         let mut objects = Vec::new();
-        for &id in &new_commits {
-            objects.push((id, repo.odb().get(id)?.canonical_bytes()));
-            let mut stack = vec![repo.tree_of(id)?];
-            while let Some(oid) = stack.pop() {
-                if !known.insert(oid) {
-                    continue;
-                }
-                let obj = repo.odb().get(oid)?;
-                if let gitlite::Object::Tree(t) = &*obj {
-                    for (_, e) in t.iter() {
-                        stack.push(e.id);
-                    }
-                }
-                objects.push((oid, obj.canonical_bytes()));
-            }
-        }
+        walk.for_each_object(repo.odb(), |id, obj| {
+            objects.push((id, obj.canonical_bytes()))
+        })?;
         Ok(RepoBundle {
             name: repo.name().to_owned(),
-            head: repo.current_branch().map(str::to_owned),
+            head,
             refs,
             objects,
-            basis,
+            basis: walk.basis().to_vec(),
         })
     }
 
@@ -951,27 +891,6 @@ impl RepoBundle {
 struct Sidecar {
     objects: std::collections::VecDeque<(ObjectId, Vec<u8>)>,
     used: bool,
-}
-
-/// Adds every tree and blob reachable from `root` (a tree id) to `out`.
-fn collect_tree_closure(
-    repo: &Repository,
-    root: ObjectId,
-    out: &mut HashSet<ObjectId>,
-) -> gitlite::Result<()> {
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if !out.insert(id) {
-            continue;
-        }
-        let obj = repo.odb().get(id)?;
-        if let gitlite::Object::Tree(t) = &*obj {
-            for (_, e) in t.iter() {
-                stack.push(e.id);
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Server's answer to a v2 `negotiate` request: the offered commit ids

@@ -14,9 +14,11 @@
 //!    answers with a delta [`crate::api::RepoBundle`] past the common
 //!    frontier (a full bundle when nothing is shared — which is also how
 //!    a brand-new repository bootstraps). The bundle is applied under
-//!    that repository's write lock; hash-verified object insertion plus
-//!    a connectivity walk make a corrupt or truncated bundle fail the
-//!    whole application rather than ever landing partial state.
+//!    that repository's write lock; an anchor check (each basis commit
+//!    reachable from a local ref), hash-verified object insertion and
+//!    the delta walk from the new tips down to the reachable commits
+//!    make a corrupt or truncated bundle fail the whole application
+//!    rather than ever landing partial state.
 //! 3. Audit catch-up through the ordinary `audit_log_page` endpoint,
 //!    and deposit ingestion from the status reply.
 //!

@@ -41,6 +41,10 @@
 //! * each repository's log-walk slot — a leaf `Mutex` taken under that
 //!   repository's read lock, held only to take or put back the walk that
 //!   `log`/`log_page` resume (never across a store read).
+//! * each repository's reachable-commit slot — a leaf `Mutex` taken
+//!   under that repository's read lock (`negotiate`) or write lock
+//!   (delta push, replica apply), held only to take or put back the set
+//!   of commits its refs reach (never across a store read or a walk).
 //! * `clock` / token counter — atomics.
 //!
 //! Lock order: a repository lock is only ever taken *after* the `repos`
@@ -121,6 +125,10 @@ struct HostedRepo {
     /// The last `log`/`log_page` walk, resumed by the next page at the
     /// same tip (see [`Hub::log_window`]). Empty until a log is served.
     log_walk: Mutex<Option<LogWalk>>,
+    /// The commits reachable from the refs, as of the tips it is keyed
+    /// by (see [`HostedRepo::take_reachable`]). Empty until a negotiate
+    /// or a delta apply needs it.
+    reachable: Mutex<Option<Reachable>>,
 }
 
 impl HostedRepo {
@@ -129,7 +137,95 @@ impl HostedRepo {
             repo,
             roles,
             log_walk: Mutex::new(None),
+            reachable: Mutex::new(None),
         }
+    }
+
+    /// Runs `f` on the repository with its reachable set taken out of
+    /// the slot ([`HostedRepo::take_reachable`]) and put back after.
+    fn with_reachable<T>(
+        &mut self,
+        f: impl FnOnce(&mut Repository, &mut Reachable) -> gitlite::Result<T>,
+    ) -> gitlite::Result<T> {
+        let mut set = self.take_reachable()?;
+        let out = f(&mut self.repo, &mut set);
+        self.put_reachable(set);
+        out
+    }
+
+    /// Takes the reachable set out of its slot, brought up to the current
+    /// tips: kept when its key matches, extended by a walk from the tips
+    /// down to its members when every old tip is still reached, rebuilt
+    /// with [`gitlite::ancestor_set`] (graph-served when the graph covers
+    /// the tips) otherwise. Put it back with
+    /// [`HostedRepo::put_reachable`]. The slot's lock is held for the take
+    /// and the put only: a concurrent caller that finds the slot empty
+    /// rebuilds on its own, which costs time but never a wrong answer,
+    /// because the tips cannot move under the repository lock the caller
+    /// holds.
+    fn take_reachable(&self) -> gitlite::Result<Reachable> {
+        let tips = sorted_tips(&self.repo);
+        let odb = self.repo.odb();
+        let taken = self.reachable.lock().take();
+        if let Some(mut set) = taken {
+            if set.tips == tips {
+                return Ok(set);
+            }
+            let walk = gitlite::DeltaWalk::new(odb, &tips, |id| set.commits.contains(id))?;
+            if set.advance(tips.clone(), &walk) {
+                return Ok(set);
+            }
+        }
+        let mut commits = HashSet::new();
+        for &tip in &tips {
+            if !commits.contains(&tip) {
+                commits.extend(gitlite::ancestor_set(odb, tip)?);
+            }
+        }
+        Ok(Reachable { tips, commits })
+    }
+
+    fn put_reachable(&self, set: Reachable) {
+        *self.reachable.lock() = Some(set);
+    }
+}
+
+/// A repository's branch tips, sorted and deduplicated: the key of its
+/// reachable set.
+fn sorted_tips(repo: &Repository) -> Vec<ObjectId> {
+    let mut tips: Vec<ObjectId> = repo.branches().map(|(_, tip)| tip).collect();
+    tips.sort_unstable();
+    tips.dedup();
+    tips
+}
+
+/// The commits reachable from a repository's refs at `tips` (sorted).
+/// Every member's closure is complete in the store — a ref only ever
+/// moves to a commit whose closure was checked — which is what lets a
+/// delta stop at members.
+#[derive(Debug)]
+struct Reachable {
+    tips: Vec<ObjectId>,
+    commits: HashSet<ObjectId>,
+}
+
+impl Reachable {
+    /// Moves the set to the sorted `tips`, given a walk from (at least
+    /// every non-member of) `tips` that stopped at members. Sound only
+    /// when no old tip was lost — each is a new tip or a stop the walk
+    /// reached — since then every commit the new tips reach is either a
+    /// member already or one the walk passed. Returns false, leaving the
+    /// set unchanged, when an old tip was not seen.
+    fn advance(&mut self, tips: Vec<ObjectId>, walk: &gitlite::DeltaWalk) -> bool {
+        let kept = self
+            .tips
+            .iter()
+            .all(|t| tips.binary_search(t).is_ok() || walk.basis().contains(t));
+        if kept {
+            self.commits.extend(walk.commits());
+            self.tips = tips;
+        }
+        kept
     }
 }
 
@@ -1628,7 +1724,9 @@ impl Hub {
         match existing {
             Some(cell) => {
                 let mut hosted = cell.write();
-                apply_replica_bundle(&mut hosted.repo, bundle).map_err(HubError::Git)
+                hosted
+                    .with_reachable(|repo, reachable| apply_replica_bundle(repo, reachable, bundle))
+                    .map_err(HubError::Git)
             }
             None => {
                 if bundle.is_delta() {
@@ -2241,53 +2339,17 @@ impl Hub {
 
     fn op_negotiate(&self, repo_id: &str, haves: &[ObjectId]) -> Result<Negotiation> {
         let cell = self.repo(repo_id)?;
+        if haves.is_empty() {
+            return Ok(Negotiation::default());
+        }
         let hosted = cell.read();
         // "Common" means reachable from a ref. Mere store presence is
-        // not enough: an object left behind by a force push may be
-        // unreachable and about to be gc'd.
-        let tips: Vec<ObjectId> = hosted.repo.branches().map(|(_, tip)| tip).collect();
-        let graph_covers_tips = hosted
-            .repo
-            .odb()
-            .commit_graph()
-            .is_some_and(|g| tips.iter().all(|&t| g.lookup(t).is_some()));
-        let mut negotiation = Negotiation::default();
-        if graph_covers_tips {
-            // Pack-backed repositories after maintenance: answer each
-            // (client-capped) have with the generation-pruned
-            // `is_ancestor` — near O(output) per probe, no O(history)
-            // set materialized under the repository read lock.
-            for &h in haves {
-                let reachable = tips
-                    .iter()
-                    .any(|&t| hosted.repo.is_ancestor(h, t).unwrap_or(false));
-                if reachable {
-                    negotiation.common.push(h);
-                } else {
-                    negotiation.missing.push(h);
-                }
-            }
-        } else {
-            // Graph-less stores: a per-have decode walk would re-walk
-            // the history up to |haves| times, so one materialized
-            // ancestor-set walk per distinct tip is the cheaper shape.
-            let mut reachable: HashSet<ObjectId> = HashSet::new();
-            for tip in tips {
-                if !reachable.contains(&tip) {
-                    reachable.extend(
-                        gitlite::ancestor_set(hosted.repo.odb(), tip).map_err(HubError::Git)?,
-                    );
-                }
-            }
-            for &h in haves {
-                if reachable.contains(&h) {
-                    negotiation.common.push(h);
-                } else {
-                    negotiation.missing.push(h);
-                }
-            }
-        }
-        Ok(negotiation)
+        // not enough: an object left behind by a refused push or a force
+        // push may be unreachable, incomplete, or about to be gc'd.
+        let reachable = hosted.take_reachable().map_err(HubError::Git)?;
+        let (common, missing) = haves.iter().partition(|h| reachable.commits.contains(h));
+        hosted.put_reachable(reachable);
+        Ok(Negotiation { common, missing })
     }
 
     fn cite_op(
@@ -2375,7 +2437,9 @@ impl Hub {
         check(&hosted, &user.username, Action::Write)?;
         let result = match &src {
             Some(src) => gitlite::push(src, &mut hosted.repo, &src_branch, branch, force),
-            None => apply_delta_push(&mut hosted.repo, &src_branch, branch, force, bundle),
+            None => hosted.with_reachable(|repo, reachable| {
+                apply_delta_push(repo, reachable, &src_branch, branch, force, bundle)
+            }),
         };
         let ok = result.is_ok();
         if ok {
@@ -2763,12 +2827,15 @@ fn parse_log_cursor(c: &str) -> Result<(ObjectId, usize)> {
 /// Applies a negotiated delta bundle (protocol v2) onto the hosted
 /// repository: the server-side half of the have/want exchange. Same ref
 /// rules as [`gitlite::push`]; on top of them the delta must be
-/// *anchored* (every basis commit already present) and *complete*
-/// (everything reachable from the pushed tip exists once the delta's
-/// objects are loaded), so a lying or stale client can make the push
-/// fail but never leave the branch pointing into a hole.
+/// *anchored* (every basis commit reachable from a ref here — mere
+/// presence is not enough, since a refused push can leave an incomplete
+/// commit behind) and *complete* (everything the pushed tip reaches past
+/// the reachable commits exists once the delta's objects are loaded), so
+/// a lying or stale client can make the push fail but never leave the
+/// branch pointing into a hole.
 fn apply_delta_push(
     repo: &mut Repository,
+    reachable: &mut Reachable,
     src_branch: &str,
     dst_branch: &str,
     force: bool,
@@ -2781,49 +2848,10 @@ fn apply_delta_push(
         .or_else(|| bundle.refs.first())
         .map(|(_, tip)| *tip)
         .ok_or(gitlite::GitError::BranchNotFound(src_branch.to_owned()))?;
-    for &b in &bundle.basis {
-        if !repo.odb().contains(b) {
-            return Err(gitlite::GitError::ObjectNotFound(b));
-        }
-    }
-    // Load the delta's objects; `put_raw` hash-verifies every one.
-    for (id, bytes) in &bundle.objects {
-        repo.odb_mut().put_raw(*id, bytes)?;
-    }
-    // Connectivity check: walk from the new tip, stopping at basis
-    // commits (complete by the check above) and at commits the
-    // commit-graph indexes (they were reachable at the last gc, so their
-    // closures are complete too — this bounds the walk to roughly the
-    // delta even when the client's have sample was sparse).
-    let mut seen: HashSet<ObjectId> = bundle.basis.iter().copied().collect();
-    let mut stack = vec![new_tip];
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        if repo
-            .odb()
-            .commit_graph()
-            .is_some_and(|g| g.lookup(id).is_some())
-        {
-            continue;
-        }
-        let obj = repo.odb().get(id)?; // ObjectNotFound if the delta is short
-        match &*obj {
-            gitlite::Object::Commit(c) => {
-                stack.push(c.tree);
-                stack.extend_from_slice(&c.parents);
-            }
-            gitlite::Object::Tree(t) => {
-                for (_, e) in t.iter() {
-                    stack.push(e.id);
-                }
-            }
-            gitlite::Object::Blob(_) => {}
-        }
-    }
+    let walk = load_anchored(repo, reachable, bundle, &[new_tip])?;
     if let Ok(old_tip) = repo.branch_tip(dst_branch) {
-        if !repo.is_ancestor(old_tip, new_tip)? && !force {
+        let fast_forward = walk.basis().contains(&old_tip) || repo.is_ancestor(old_tip, new_tip)?;
+        if !fast_forward && !force {
             return Err(gitlite::GitError::NonFastForward {
                 branch: dst_branch.to_owned(),
             });
@@ -2833,57 +2861,50 @@ fn apply_delta_push(
     if repo.current_branch() == Some(dst_branch) {
         repo.checkout_branch(dst_branch)?;
     }
+    reachable.advance(sorted_tips(repo), &walk);
     Ok(new_tip)
 }
 
-/// Applies a replication bundle onto the local replica of a repository:
-/// the multi-ref sibling of [`apply_delta_push`]. The same safety
-/// ladder — anchored basis, hash-verified object insertion, a
-/// connectivity walk from **every** advertised tip — guarantees a
-/// corrupt, truncated or garbled bundle fails the whole application
-/// without leaving partial state. Unlike a push there is no
-/// fast-forward rule: the primary's frontier is authoritative, so refs
-/// are force-set, branches deleted upstream are deleted here, and HEAD
-/// tracks the primary's head.
-fn apply_replica_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::Result<()> {
-    for &b in &bundle.basis {
-        if !repo.odb().contains(b) {
-            return Err(gitlite::GitError::ObjectNotFound(b));
-        }
+/// The safety ladder both delta receivers share. The bundle must be
+/// anchored (each basis commit reachable from a ref), its objects are
+/// loaded (`put_raw` hash-verifies every one), and then the one delta
+/// walk runs from `tips` down to the reachable commits with every object
+/// it lists fetched — `ObjectNotFound` when the bundle is short. The
+/// commits it stops at have complete closures, so what their trees hold
+/// is skipped. Returns the walk, whose commits are the ones the refs
+/// gain.
+fn load_anchored(
+    repo: &mut Repository,
+    reachable: &Reachable,
+    bundle: &RepoBundle,
+    tips: &[ObjectId],
+) -> gitlite::Result<gitlite::DeltaWalk> {
+    if let Some(&b) = bundle.basis.iter().find(|b| !reachable.commits.contains(b)) {
+        return Err(gitlite::GitError::ObjectNotFound(b));
     }
     for (id, bytes) in &bundle.objects {
         repo.odb_mut().put_raw(*id, bytes)?;
     }
-    // Connectivity: every tip's closure must exist once the bundle's
-    // objects are loaded, stopping at basis commits and commit-graph
-    // entries (complete by construction — same bound as a delta push).
-    let mut seen: HashSet<ObjectId> = bundle.basis.iter().copied().collect();
-    let mut stack: Vec<ObjectId> = bundle.refs.iter().map(|(_, tip)| *tip).collect();
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        if repo
-            .odb()
-            .commit_graph()
-            .is_some_and(|g| g.lookup(id).is_some())
-        {
-            continue;
-        }
-        let obj = repo.odb().get(id)?;
-        match &*obj {
-            gitlite::Object::Commit(c) => {
-                stack.push(c.tree);
-                stack.extend_from_slice(&c.parents);
-            }
-            gitlite::Object::Tree(t) => {
-                for (_, e) in t.iter() {
-                    stack.push(e.id);
-                }
-            }
-            gitlite::Object::Blob(_) => {}
-        }
-    }
+    let walk = gitlite::DeltaWalk::new(repo.odb(), tips, |id| reachable.commits.contains(id))?;
+    walk.for_each_object(repo.odb(), |_, _| {})?;
+    Ok(walk)
+}
+
+/// Applies a replication bundle onto the local replica of a repository:
+/// the multi-ref sibling of [`apply_delta_push`]. The same safety
+/// ladder ([`load_anchored`] from **every** advertised tip) guarantees a
+/// corrupt, truncated or garbled bundle fails the whole application
+/// without moving a ref. Unlike a push there is no fast-forward rule:
+/// the primary's frontier is authoritative, so refs are force-set,
+/// branches deleted upstream are deleted here, and HEAD tracks the
+/// primary's head.
+fn apply_replica_bundle(
+    repo: &mut Repository,
+    reachable: &mut Reachable,
+    bundle: &RepoBundle,
+) -> gitlite::Result<()> {
+    let tips: Vec<ObjectId> = bundle.refs.iter().map(|(_, tip)| *tip).collect();
+    let walk = load_anchored(repo, reachable, bundle, &tips)?;
     for (branch, tip) in &bundle.refs {
         repo.set_branch(branch, *tip)?;
     }
@@ -2907,6 +2928,7 @@ fn apply_replica_bundle(repo: &mut Repository, bundle: &RepoBundle) -> gitlite::
             repo.delete_branch(&b)?;
         }
     }
+    reachable.advance(sorted_tips(repo), &walk);
     Ok(())
 }
 

@@ -60,6 +60,33 @@ fn negotiate_partitions_haves_by_reachability() {
     assert_eq!(reply.missing, vec![unknown]);
 }
 
+/// The server keeps its reachable set across requests; a force push
+/// that drops commits must drop them from `common` too, and a later
+/// fast-forward must add the new ones.
+#[test]
+fn negotiate_follows_the_refs_through_force_pushes() {
+    let (hub, token, repo_id, mut local) = seeded(5);
+    let client = HubClient::in_process(&hub);
+    let base = local.clone();
+    let old_tip = local.branch_tip("main").unwrap();
+    advance(&mut local, 2, 1_000);
+    let new_tip = local.branch_tip("main").unwrap();
+    let ask = |haves: &[ObjectId]| client.negotiate(&repo_id, haves).unwrap();
+    assert_eq!(ask(&[old_tip, new_tip]).common, vec![old_tip]);
+    client
+        .push(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
+    assert_eq!(ask(&[old_tip, new_tip]).common, vec![old_tip, new_tip]);
+    client
+        .push(&token, &repo_id, "main", &base, "main", true)
+        .unwrap();
+    assert_eq!(ask(&[old_tip, new_tip]).missing, vec![new_tip]);
+    client
+        .push(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
+    assert_eq!(ask(&[new_tip]).common, vec![new_tip]);
+}
+
 /// The acceptance bar: pushing N new commits onto a deep shared history
 /// ships O(N) objects — commit + tree + changed blob each — while the
 /// full bundle ships the entire closure.
@@ -247,6 +274,107 @@ fn unanchored_delta_is_refused_before_touching_the_branch() {
     assert_eq!(hub.log(&repo_id, "main").unwrap()[0].id, old_tip);
 }
 
+/// A refused delta leaves its loaded objects behind, so a commit can be
+/// present but incomplete. A later delta anchored on that commit must be
+/// refused too — "anchored" means reachable from a ref, not present —
+/// and the client's fallback then lands the history whole.
+#[test]
+fn a_delta_anchored_on_an_unreachable_commit_is_refused() {
+    let (hub, token, repo_id, mut local) = seeded(5);
+    let old_tip = hub.log(&repo_id, "main").unwrap()[0].id;
+    let push = |bundle: RepoBundle| {
+        hub.dispatch(hub::ApiRequest::Push {
+            token: token.as_str().to_owned(),
+            repo_id: repo_id.clone(),
+            branch: "main".into(),
+            force: false,
+            bundle,
+        })
+        .into_result()
+    };
+    // A delta missing its one new blob is refused, but its commit and
+    // tree are already in the store.
+    local
+        .worktree_mut()
+        .write(&path("hole.txt"), &b"never arrives\n"[..])
+        .unwrap();
+    let orphan = local.commit(sig(2_000), "add hole").unwrap();
+    let blob = gitlite::Blob::new(&b"never arrives\n"[..]).id();
+    let mut delta =
+        RepoBundle::delta_from_branch(&local, "main", &HashSet::from([old_tip])).unwrap();
+    delta.objects.retain(|(id, _)| *id != blob);
+    assert!(matches!(
+        push(delta),
+        Err(HubError::Git(gitlite::GitError::ObjectNotFound(id))) if id == blob
+    ));
+    // A second delta, anchored on the orphan, deletes the file: without
+    // the reachability check it would be accepted and the branch would
+    // point at a commit whose parent's tree has a hole.
+    local.worktree_mut().remove(&path("hole.txt")).unwrap();
+    let tip = local.commit(sig(2_001), "drop hole").unwrap();
+    let delta = RepoBundle::delta_from_branch(&local, "main", &HashSet::from([orphan])).unwrap();
+    assert_eq!(delta.basis, vec![orphan]);
+    assert!(matches!(
+        push(delta),
+        Err(HubError::Git(gitlite::GitError::ObjectNotFound(id))) if id == orphan
+    ));
+    assert_eq!(hub.log(&repo_id, "main").unwrap()[0].id, old_tip);
+    hub.clone_repo(&repo_id).unwrap();
+    // The client push negotiates around the orphan and lands it all.
+    HubClient::in_process(&hub)
+        .push(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
+    let clone = hub.clone_repo(&repo_id).unwrap();
+    assert_eq!(clone.branch_tip("main").unwrap(), tip);
+    assert_eq!(
+        clone.file_at(orphan, &path("hole.txt")).unwrap(),
+        b"never arrives\n"[..]
+    );
+}
+
+/// Two directories that share a file swap places, in a push of two new
+/// commits and in the follower fetch that replicates them: the sparse
+/// walk must ship (or find held) every tree of both layouts.
+#[test]
+fn a_directory_swap_lands_on_push_and_replica_fetch() {
+    let (hub, token, repo_id, mut local) = seeded(3);
+    let follower_hub = Arc::new(Hub::new("https://follower"));
+    let follower = hub::Follower::new(
+        Arc::clone(&follower_hub),
+        hub::InProcess::new(&hub),
+        "primary:1",
+        3600,
+    );
+    follower.sync_once().unwrap();
+    let wt = local.worktree_mut();
+    for (file, body) in [
+        ("a/shared.txt", "shared"),
+        ("a/x.txt", "x"),
+        ("b/shared.txt", "shared"),
+        ("b/y.txt", "y"),
+    ] {
+        wt.write(&path(file), body).unwrap();
+    }
+    local.commit(sig(3_000), "two dirs").unwrap();
+    let wt = local.worktree_mut();
+    wt.remove(&path("a/x.txt")).unwrap();
+    wt.remove(&path("b/y.txt")).unwrap();
+    wt.write(&path("a/y.txt"), "y").unwrap();
+    wt.write(&path("b/x.txt"), "x").unwrap();
+    let tip = local.commit(sig(3_001), "swap").unwrap();
+    let client = HubClient::in_process(&hub);
+    client
+        .push_negotiated(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
+    let report = follower.sync_once().unwrap();
+    assert_eq!(report.delta_bundles, 1);
+    for served in [&hub, &*follower_hub] {
+        let clone = served.clone_repo(&repo_id).unwrap();
+        assert_eq!(clone.branch_tip("main").unwrap(), tip);
+        assert_eq!(clone.snapshot(tip).unwrap(), local.snapshot(tip).unwrap());
+    }
+}
+
 #[test]
 fn short_delta_fails_connectivity_not_corruption() {
     let (hub, token, repo_id, mut local) = seeded(5);
@@ -386,11 +514,10 @@ impl ObjectStore for CountingStore {
     }
 }
 
-#[test]
-fn log_pages_stop_at_the_page_and_resume_the_walk() {
-    let reads = Arc::new(AtomicUsize::new(0));
+/// A hub whose every repository store counts its object reads in `reads`.
+fn counting_hub(reads: &Arc<AtomicUsize>) -> Hub {
     let counter = reads.clone();
-    let hub = Hub::with_store_factory(
+    Hub::with_store_factory(
         "https://h",
         Box::new(move || {
             Box::new(CountingStore {
@@ -398,8 +525,13 @@ fn log_pages_stop_at_the_page_and_resume_the_walk() {
                 reads: counter.clone(),
             })
         }),
-    );
-    let (hub, _, repo_id, _) = seeded_in(hub, 499);
+    )
+}
+
+#[test]
+fn log_pages_stop_at_the_page_and_resume_the_walk() {
+    let reads = Arc::new(AtomicUsize::new(0));
+    let (hub, _, repo_id, _) = seeded_in(counting_hub(&reads), 499);
     let client = HubClient::in_process(&hub);
     let limit = 10;
 
@@ -501,4 +633,71 @@ fn page_limits_are_clamped_and_bad_cursors_refused() {
         .unwrap();
     assert!(page.items.is_empty());
     assert!(page.next.is_none());
+}
+
+/// A single-file push onto a repository of 500 files in nested
+/// directories and 300 commits, and the follower catch-up after it, read
+/// a number of objects on the order of the changed path: the commit, the
+/// directories down to the file and their basis counterparts — not the
+/// history (negotiate) or the tree (delta apply, replica fetch and
+/// apply).
+#[test]
+fn a_single_file_push_and_its_catch_up_read_the_changed_path() {
+    let primary_reads = Arc::new(AtomicUsize::new(0));
+    let (hub, token, repo_id, mut local) = seeded_in(counting_hub(&primary_reads), 0);
+    let file = |i: usize| path(&format!("d{}/s{}/f{}.txt", i % 10, i / 10 % 5, i / 50));
+    for i in 0..500 {
+        local
+            .worktree_mut()
+            .write(&file(i), format!("file {i}\n").into_bytes())
+            .unwrap();
+    }
+    let edit = |local: &mut gitlite::Repository, n: usize| {
+        local
+            .worktree_mut()
+            .write(&file(n * 37 % 500), format!("edit {n}\n").into_bytes())
+            .unwrap();
+        local
+            .commit(sig(1_000 + n as i64), format!("e{n}"))
+            .unwrap();
+    };
+    for n in 0..300 {
+        edit(&mut local, n);
+    }
+    hub.push(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
+    let follower_reads = Arc::new(AtomicUsize::new(0));
+    let follower_hub = Arc::new(counting_hub(&follower_reads));
+    let follower = hub::Follower::new(
+        Arc::clone(&follower_hub),
+        hub::InProcess::new(&hub),
+        "primary:1",
+        3600,
+    );
+    follower.sync_once().unwrap();
+    // Warm-up: the first negotiated push and catch-up may build each
+    // hub's reachable set.
+    let client = HubClient::in_process(&hub);
+    edit(&mut local, 300);
+    client
+        .push(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
+    follower.sync_once().unwrap();
+
+    edit(&mut local, 301);
+    primary_reads.store(0, Ordering::Relaxed);
+    client
+        .push(&token, &repo_id, "main", &local, "main", false)
+        .unwrap();
+    let push_reads = primary_reads.swap(0, Ordering::Relaxed);
+    follower_reads.store(0, Ordering::Relaxed);
+    let report = follower.sync_once().unwrap();
+    assert_eq!(report.delta_bundles, 1);
+    let fetch_reads = primary_reads.load(Ordering::Relaxed);
+    let apply_reads = follower_reads.load(Ordering::Relaxed);
+    assert!(push_reads <= 60, "negotiate + push read {push_reads}");
+    assert!(fetch_reads <= 60, "replica fetch read {fetch_reads}");
+    assert!(apply_reads <= 60, "replica apply read {apply_reads}");
+    let tip = local.branch_tip("main").unwrap();
+    assert_eq!(follower_hub.log(&repo_id, "main").unwrap()[0].id, tip);
 }
